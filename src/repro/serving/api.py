@@ -23,14 +23,22 @@ distinguish "this request can never be served" from "retry later"
 
 The ``*_to_wire`` / ``*_from_wire`` functions are the JSON codecs of
 the newline-delimited socket protocol (:mod:`repro.serving.frontend`).
-Floats cross the wire via ``repr`` (shortest round-trip), so encoded
-matrices and embeddings survive the socket **bit-identically**.
+Every matrix on the wire — request view matrices and response
+embeddings — is one array object ``{"dtype": "<f8" | "<f4", "shape":
+[rows, cols], "data": <base64>}`` whose ``data`` is the matrix's raw
+little-endian bytes in row-major order.  View matrices travel as
+float64 and embeddings in their own dtype, so both survive the socket
+**bit-identically**.  Decoding validates everything a peer controls —
+dtype allow-list, non-negative integer shape, byte count, strict
+base64 — and a request that fails any check (nested-list matrices
+included) is a typed :class:`AdmissionError` (``"bad_request"``).
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -245,10 +253,50 @@ class EmbedTicket:
 # Wire codecs (the NDJSON socket protocol's payload layer)
 # ----------------------------------------------------------------------
 
-def _matrix_to_wire(matrix: np.ndarray) -> list:
-    # json.dumps renders floats with repr (shortest round-trip), so the
-    # nested-list form is lossless for every finite float64.
-    return np.asarray(matrix, dtype=np.float64).tolist()
+#: Array dtypes the wire carries, by code.  Codes name the byte order
+#: explicitly, so the payload means the same bytes on every host.
+_WIRE_DTYPES = {code: np.dtype(code) for code in ("<f8", "<f4")}
+
+
+def _matrix_to_wire(matrix: np.ndarray, dtype=None) -> dict:
+    """Encode a 2-D float matrix (cast to ``dtype`` if given) as a wire
+    array object: raw little-endian row-major bytes in base64."""
+    matrix = np.asarray(matrix, dtype=dtype)
+    code = matrix.dtype.newbyteorder("<").str
+    if code not in _WIRE_DTYPES or matrix.ndim != 2:
+        raise ValueError(f"cannot put a {matrix.ndim}-D {matrix.dtype} "
+                         f"array on the wire (2-D {sorted(_WIRE_DTYPES)})")
+    data = np.ascontiguousarray(matrix, dtype=code)
+    return {"dtype": code, "shape": list(matrix.shape),
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def _matrix_from_wire(wire) -> np.ndarray:
+    """Decode a wire array object into an owned, writable native-order
+    matrix.  Anything a peer could get wrong raises ``TypeError`` /
+    ``ValueError``."""
+    if not isinstance(wire, dict):
+        raise TypeError(f"array field must be an object with dtype, shape "
+                        f"and data, got {type(wire).__name__}")
+    code = wire.get("dtype")
+    if not isinstance(code, str) or code not in _WIRE_DTYPES:
+        raise ValueError(f"array dtype {code!r} not in "
+                         f"{sorted(_WIRE_DTYPES)}")
+    shape = wire.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise ValueError(f"array shape must be two integers >= 0, "
+                         f"got {shape!r}")
+    dtype = _WIRE_DTYPES[code]
+    data = base64.b64decode(wire.get("data"), validate=True)
+    if len(data) != shape[0] * shape[1] * dtype.itemsize:
+        raise ValueError(f"array data holds {len(data)} bytes, shape "
+                         f"{shape} of {code} needs "
+                         f"{shape[0] * shape[1] * dtype.itemsize}")
+    # astype copies: the result owns its buffer (never a read-only view
+    # of the decoded bytes) and is in native byte order.
+    return np.frombuffer(data, dtype=dtype).reshape(shape).astype(
+        dtype.newbyteorder("="))
 
 
 def request_to_wire(request: EmbedRequest) -> dict:
@@ -265,7 +313,8 @@ def request_to_wire(request: EmbedRequest) -> dict:
         "region_subset": request.region_subset,
         "views": {
             "names": list(request.views.names),
-            "matrices": [_matrix_to_wire(m) for m in request.views.matrices],
+            "matrices": [_matrix_to_wire(m, np.float64)
+                         for m in request.views.matrices],
         },
     }
 
@@ -281,11 +330,16 @@ def request_from_wire(payload: dict) -> EmbedRequest:
         views_payload = payload["views"]
         views = ViewSet(
             names=tuple(views_payload["names"]),
-            matrices=[np.asarray(m, dtype=np.float64)
+            matrices=[_matrix_from_wire(m).astype(np.float64, copy=False)
                       for m in views_payload["matrices"]])
-        return EmbedRequest(views, dtype=payload.get("dtype"),
-                            region_subset=payload.get("region_subset"),
-                            name=payload.get("name", ""))
+        request = EmbedRequest(views, dtype=payload.get("dtype"),
+                               region_subset=payload.get("region_subset"),
+                               name=payload.get("name", ""))
+        if (request.dtype is not None and
+                request.dtype.newbyteorder("<").str not in _WIRE_DTYPES):
+            raise ValueError(f"embedding dtype {request.dtype} cannot "
+                             f"travel the wire")
+        return request
     except AdmissionError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -294,23 +348,19 @@ def request_from_wire(payload: dict) -> EmbedRequest:
 
 
 def response_to_wire(response: EmbedResponse) -> dict:
-    """Encode a served response (``ok: true``) for the socket protocol."""
-    wire = asdict(response)
-    wire["ok"] = True
-    # Shape travels explicitly: an empty region subset would otherwise
-    # lose its (0, d) embedding width in the nested-list form.
-    wire["shape"] = list(response.embeddings.shape)
-    wire["dtype"] = str(response.embeddings.dtype)
+    """Encode a served response (``ok: true``) for the socket protocol;
+    the embeddings travel in their own dtype."""
+    wire = {f.name: getattr(response, f.name) for f in fields(response)}
     wire["embeddings"] = _matrix_to_wire(response.embeddings)
+    wire["ok"] = True
     return wire
 
 
 def response_from_wire(payload: dict) -> EmbedResponse:
     """Decode an ``ok: true`` payload back into an :class:`EmbedResponse`."""
-    fields = {k: payload[k] for k in (
+    provenance = {k: payload[k] for k in (
         "request_id", "name", "bucket_id", "n_regions", "batch_size",
         "padded", "padding_waste", "plan_event", "wait_seconds",
         "compute_seconds")}
-    embeddings = np.asarray(payload["embeddings"], dtype=np.float64).reshape(
-        payload["shape"]).astype(payload["dtype"], copy=False)
-    return EmbedResponse(embeddings=embeddings, **fields)
+    return EmbedResponse(embeddings=_matrix_from_wire(payload["embeddings"]),
+                         **provenance)

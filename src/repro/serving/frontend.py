@@ -17,8 +17,8 @@ matching replies — replies may interleave across in-flight requests on
 one connection):
 
 - ``{"op": "embed", "id"?, "name"?, "dtype"?, "region_subset"?,
-  "views": {"names": [...], "matrices": [[[...]]]}}`` →
-  ``{"ok": true, "embeddings": ..., "latency_seconds": ...,
+  "views": {"names": [...], "matrices": [<array>, ...]}}`` →
+  ``{"ok": true, "embeddings": <array>, "latency_seconds": ...,
   <EmbedResponse provenance>}`` or
   ``{"ok": false, "error": <reason>, "message": ...,
   "retry_after": <seconds or null>}``;
@@ -27,8 +27,13 @@ one connection):
   epochs);
 - ``{"op": "ping"}`` → ``{"ok": true, "pong": true}``.
 
-Floats travel as ``repr`` (shortest round-trip), so embeddings are
-**bit-identical** to the in-process service's on the same trace.
+Each ``<array>`` is ``{"dtype": "<f8" | "<f4", "shape": [rows, cols],
+"data": <base64>}``: the matrix's raw little-endian row-major bytes
+(:func:`~repro.serving.api.request_to_wire` and friends).  View
+matrices travel as float64 and embeddings in their own dtype, so
+embeddings are **bit-identical** to the in-process service's on the
+same trace.  An array that fails decoding (nested-list matrices
+included) is rejected as ``bad_request``.
 
 Admission control and backpressure
 ----------------------------------

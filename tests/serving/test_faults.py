@@ -435,8 +435,9 @@ def _ok_reply() -> dict:
 
 class _ScriptedServer:
     """Plays a script of connections: each entry is a list of replies
-    (one per received line) or ``"drop"`` (read one line, then close the
-    connection without answering — the mid-restart frontend)."""
+    (one per received line), ``"drop"`` (read one line, then close the
+    connection without answering — the mid-restart frontend) or
+    ``"silent"`` (read every line, answer none — a hung frontend)."""
 
     def __init__(self, connections):
         self.connections = connections
@@ -454,10 +455,15 @@ class _ScriptedServer:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
-            with conn:
-                rfile = conn.makefile("rb")
+            # The reader holds its own reference to the socket: the
+            # connection only really closes once both are closed.
+            with conn, conn.makefile("rb") as rfile:
                 if script == "drop":
                     if rfile.readline():
+                        self.requests_seen += 1
+                    continue
+                if script == "silent":
+                    while rfile.readline():
                         self.requests_seen += 1
                     continue
                 for reply in script:
@@ -502,6 +508,17 @@ class TestClientRetry:
                 assert not client.closed
             assert response.name == "ok"
             assert server.requests_seen == 2
+
+    def test_silent_server_trips_client_timeout(self):
+        with _ScriptedServer(["silent"]) as server:
+            with FrontendClient("127.0.0.1", server.port, timeout=0.5,
+                                retries=0) as client:
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    client.embed(EmbedRequest(make_views(3, seed=5)))
+                assert time.monotonic() - start < 5.0
+                assert client.closed
+            assert server.requests_seen == 1
 
     def test_permanent_rejection_is_never_retried(self):
         script = [[{"ok": False, "error": "oversize", "message": "too big",

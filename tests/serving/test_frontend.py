@@ -13,10 +13,13 @@ pytest-asyncio), driven through the blocking :class:`FrontendClient`
 exactly the way scripts and the smoke job drive it.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import HAFusionConfig
+from repro.data.features import ViewSet
 from repro.serving import (
     AdmissionError,
     EmbedRequest,
@@ -89,11 +92,72 @@ def make_frontend(fleet: ServingFleet, **kwargs) -> ServingFrontend:
 # Wire codecs (no fleet needed)
 # ----------------------------------------------------------------------
 
+def _embed_payload(mutate=None) -> dict:
+    """A valid n=6 embed payload, parsed as the frontend sees it, with
+    ``mutate`` applied to its first view matrix's array object."""
+    wire = json.loads(json.dumps(request_to_wire(
+        EmbedRequest(make_views(6, seed=70), name="fuzz"))))
+    if mutate is not None:
+        matrices = wire["views"]["matrices"]
+        matrices[0] = mutate(matrices[0])
+    return wire
+
+
+def _patched(**fields):
+    return lambda array: {**array, **fields}
+
+
+#: Payloads every decoder must reject as ``bad_request``, each with a
+#: fragment of the message naming the check that must catch it.
+MALFORMED = [
+    pytest.param({"op": "embed", "views": {"names": ["m"]}}, "matrices",
+                 id="missing-matrices"),
+    # Lenient base64 would skip the stray character and decode fine.
+    pytest.param(_embed_payload(
+        lambda a: {**a, "data": a["data"][:8] + "*" + a["data"][8:]}),
+        "base64", id="non-base64-data"),
+    pytest.param(_embed_payload(lambda a: {**a, "data": a["data"][:-16]}),
+                 "564 bytes", id="truncated-data"),
+    pytest.param(_embed_payload(_patched(shape=[6, 13])), "needs 624",
+                 id="byte-count-mismatch"),
+    # -6 x -12 regions would match the byte count.
+    pytest.param(_embed_payload(_patched(shape=[-6, -12])), "shape",
+                 id="negative-shape"),
+    pytest.param(_embed_payload(_patched(shape=[6.0, 12])), "shape",
+                 id="non-integer-shape"),
+    pytest.param(_embed_payload(_patched(shape=[72])), "shape",
+                 id="1d-shape"),
+    pytest.param(_embed_payload(_patched(dtype="<f2")), "dtype '<f2'",
+                 id="unsupported-dtype"),
+    pytest.param(_embed_payload(_patched(dtype=">f8")), "dtype '>f8'",
+                 id="big-endian-dtype-code"),
+    pytest.param(_embed_payload(
+        lambda a: make_views(6, seed=70).matrices[0].tolist()),
+        "got list", id="legacy-nested-list"),
+    pytest.param(_embed_payload(lambda a: a["data"]), "got str",
+                 id="non-object-array"),
+    pytest.param({**_embed_payload(), "dtype": "float16"}, "float16",
+                 id="embedding-dtype-off-wire"),
+]
+
+
+def _strided(m: np.ndarray) -> np.ndarray:
+    """Same values as ``m``, as a non-contiguous view."""
+    return np.repeat(m, 2, axis=1)[:, ::2]
+
+
 class TestWireCodecs:
 
-    def test_request_roundtrip_is_bit_identical(self):
-        import json
-        request = EmbedRequest(make_views(7, seed=3), dtype="float32",
+    @pytest.mark.parametrize("layout", [
+        pytest.param(lambda m: m, id="contiguous"),
+        pytest.param(_strided, id="non-contiguous"),
+        pytest.param(np.asfortranarray, id="fortran-order"),
+        pytest.param(lambda m: m.astype(">f8"), id="big-endian"),
+    ])
+    def test_request_roundtrip_is_bit_identical(self, layout):
+        views = make_views(7, seed=3)
+        views = ViewSet(views.names, [layout(m) for m in views.matrices])
+        request = EmbedRequest(views, dtype="float32",
                                region_subset=[2, 0], name="chi")
         wire = json.loads(json.dumps(request_to_wire(request)))
         decoded = request_from_wire(wire)
@@ -102,13 +166,22 @@ class TestWireCodecs:
         assert decoded.region_subset == [2, 0]
         assert decoded.views.names == request.views.names
         for a, b in zip(decoded.views.matrices, request.views.matrices):
-            assert a.dtype == np.float64
-            assert np.array_equal(a, b)   # exact: repr round-trip
+            assert a.dtype == np.float64 and a.dtype.isnative
+            assert a.flags.owndata and a.flags.writeable
+            assert np.array_equal(a, b)   # exact: raw bytes round-trip
 
-    def test_response_roundtrip_preserves_dtype_and_shape(self):
-        import json
-        embeddings = np.random.default_rng(0).standard_normal(
-            (4, 8)).astype(np.float32)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape,layout", [
+        pytest.param((4, 8), lambda e: e, id="4x8"),
+        pytest.param((0, 8), lambda e: e, id="empty-subset"),
+        pytest.param((4, 8), _strided, id="non-contiguous"),
+        pytest.param((4, 8), lambda e: e.astype(e.dtype.newbyteorder(">")),
+                     id="big-endian"),
+    ])
+    def test_response_roundtrip_preserves_dtype_and_shape(
+            self, dtype, shape, layout):
+        embeddings = layout(np.random.default_rng(0).standard_normal(
+            shape).astype(dtype))
         response = EmbedResponse(
             request_id=9, name="nyc", embeddings=embeddings,
             bucket_id="n8/d12x6/float32", n_regions=4, batch_size=2,
@@ -117,9 +190,12 @@ class TestWireCodecs:
         wire = json.loads(json.dumps(response_to_wire(response)))
         assert wire["ok"] is True
         decoded = response_from_wire(wire)
-        assert decoded.embeddings.dtype == np.float32
-        assert decoded.embeddings.shape == (4, 8)
-        assert np.array_equal(decoded.embeddings, embeddings)
+        assert decoded.embeddings.dtype == np.dtype(dtype)
+        assert decoded.embeddings.shape == shape
+        # Bitwise, in native byte order whatever order went in.
+        assert decoded.embeddings.tobytes() == embeddings.astype(
+            dtype).tobytes()
+        assert decoded.embeddings.flags.writeable
         assert decoded.plan_event == "disk"
         assert decoded.batch_size == 2
 
@@ -132,9 +208,10 @@ class TestWireCodecs:
         decoded = response_from_wire(response_to_wire(response))
         assert decoded.embeddings.shape == (0, 8)
 
-    def test_malformed_payload_is_typed(self):
-        with pytest.raises(AdmissionError) as excinfo:
-            request_from_wire({"op": "embed", "views": {"names": ["m"]}})
+    @pytest.mark.parametrize("payload,check", MALFORMED)
+    def test_malformed_payload_is_typed(self, payload, check):
+        with pytest.raises(AdmissionError, match=check) as excinfo:
+            request_from_wire(payload)
         assert excinfo.value.reason == "bad_request"
 
 
@@ -237,6 +314,22 @@ class TestFrontendServing:
             assert reply["ok"] is False
             assert reply["error"] == "bad_request"
             assert client.ping()
+
+    @pytest.mark.parametrize("payload,check", MALFORMED)
+    def test_malformed_payload_gets_typed_reply(self, stack, payload,
+                                                check):
+        """Wire fuzz: every malformed array payload is answered with a
+        typed rejection, and the same connection then serves."""
+        with stack.client() as client:
+            reply = client.call({**payload, "id": 99})
+            assert reply["ok"] is False
+            assert reply["error"] == "bad_request"
+            assert check in reply["message"]
+            assert reply["id"] == 99
+            served, = client.embed_many(
+                [EmbedRequest(make_views(6, seed=71), name="after")])
+        assert served.name == "after"
+        assert served.embeddings.shape == (6, TINY["d"])
 
     def test_unknown_op_is_bad_request(self, stack):
         with stack.client() as client:
