@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import (
     HAFusionConfig,
-    backend_speedup_report,
     compiled_speedup_report,
     serving_speedup_report,
 )
@@ -142,60 +141,11 @@ class TestCompiledStepBenchmarks:
             f"per epoch)")
 
 
-class TestBackendBenchmarks:
-    def test_backend_lowering_speedup_nyc360(self, benchmark):
-        """PR 7 training path vs the PR 2/4 compiled path at paper scale
-        (nyc_360): ``"v2"`` fused/flattened kernels with the optimizer
-        folded into the plan, replayed on ``REPRO_PLAN_BACKEND``
-        (serial by default; the nightly backend matrix also runs
-        ``threaded``), against the preserved ``"v1"`` kernels with the
-        eager clip+Adam loop.
-
-        Gates: ≤1e-8 final-embedding parity in float64 (losses are
-        typically bit-equal), the folded update ops present, and the
-        per-epoch speedup at ``REPRO_LOWERING_SPEEDUP_GATE``.  The gate
-        defaults to 1.0 — never slower than the old path — because on a
-        single shared core only the dispatch-level win is available
-        (measured ≈1.05x serial on one core); the threaded backend's
-        batch-partitioned kernels are the ≥1.5x path on multi-core
-        runners, where the nightly matrix raises the gate via the same
-        env knob the other speedup gates use.  The report
-        (including the top-5 hottest kernels, which
-        ``scripts/compare_benchmarks.py`` surfaces in the job summary)
-        is archived in ``extra_info["backend"]``.
-        """
-        from bench_utils import run_once
-
-        if not benchmark.enabled:
-            # Parity is locked down by tests/nn/test_plan_backends.py and
-            # tests/core/test_compiled_parity.py in tier-1.
-            pytest.skip("timing-gated benchmark; parity covered in tier-1")
-        city = load_city("nyc_360", seed=7)
-        config = HAFusionConfig.for_city("nyc_360", conv_channels=16)
-        report = run_once(benchmark, backend_speedup_report, city,
-                          config, seed=7, epochs=5)
-        benchmark.extra_info["backend"] = report
-        print("\nbackend/lowering report:", report)
-        assert report["final_embedding_max_abs_diff"] <= 1e-8
-        assert report["max_loss_diff"] <= 1e-6
-        assert report["update_ops"] > 0, "optimizer was not folded"
-        if report["backend"] == "threaded":
-            assert report["threaded_ops"] > 0, (
-                "threaded backend partitioned no kernels")
-        gate = float(os.environ.get("REPRO_LOWERING_SPEEDUP_GATE", "1.0"))
-        assert report["speedup"] >= gate, (
-            f"fused path only {report['speedup']:.2f}x the previous "
-            f"compiled path (baseline "
-            f"{report['baseline_seconds_per_epoch']:.3f}s, candidate "
-            f"{report['candidate_seconds_per_epoch']:.3f}s per epoch, "
-            f"backend={report['backend']})")
-
-
 class TestServingBenchmarks:
     def test_serving_speedup_nyc360(self, benchmark):
-        """Eager vs compiled ``batched_embed`` at paper scale (nyc_360,
-        n=360, fig7 conv_channels): one warm model answering repeated
-        embed requests.  The compiled side replays a forward-only
+        """Eager vs compiled ``EmbeddingService.embed_batch`` at paper
+        scale (nyc_360, n=360, fig7 conv_channels): one warm model
+        answering repeated embed requests.  The compiled side replays a forward-only
         :class:`~repro.nn.compile.InferencePlan` (the record epoch is
         excluded, exactly as a warm server runs).
 

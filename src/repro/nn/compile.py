@@ -66,8 +66,7 @@ from .tensor import Tensor, _is_basic_index, _unbroadcast, record_tape
 
 __all__ = ["Plan", "InferencePlan", "CompiledStep", "compile_step",
            "record_forward", "RECORD_STATS", "RecordStats",
-           "DEFAULT_LOWERING", "DEFAULT_BACKEND",
-           "resolve_lowering", "resolve_backend", "resolve_workers"]
+           "DEFAULT_BACKEND", "resolve_backend", "resolve_workers"]
 
 
 class RecordStats:
@@ -97,19 +96,15 @@ RECORD_STATS = RecordStats()
 
 
 # ----------------------------------------------------------------------
-# Lowering levels and replay backends
+# Replay backends
 # ----------------------------------------------------------------------
 #
-# ``lowering`` selects how aggressively the kernel builders rewrite the
-# recorded graph:
-#
-# - ``"v1"`` — the PR 2/4 kernels, preserved verbatim.  This is the
-#   honest baseline the lowering benchmark compares against.
-# - ``"v2"`` (default) — the fused/flattened kernels: batched GEMMs
-#   flattened to single BLAS calls, transposed im2col layout with
-#   vectorized tap copies, two-pass separable pooling, the fused
-#   LayerNorm chain, preallocated sink temporaries, and kernel scratch
-#   leased from a per-plan pool instead of private per-kernel arrays.
+# Every plan lowers the recorded graph the same way: batched GEMMs
+# against a shared right matrix flattened to single BLAS calls, the
+# transposed im2col conv layout with vectorized tap copies, the fused
+# RegionSA gate and LayerNorm chains, preallocated sink temporaries, and
+# kernel scratch leased from a per-plan pool instead of private
+# per-kernel arrays.
 #
 # ``backend`` selects how the flat kernel list is replayed:
 #
@@ -122,21 +117,11 @@ RECORD_STATS = RecordStats()
 #   compute the *same* elements with the same reduction orders, so the
 #   result is bit-identical to the serial backend.
 #
-# Both knobs resolve from the environment when not passed explicitly:
-# ``REPRO_PLAN_LOWERING``, ``REPRO_PLAN_BACKEND``, ``REPRO_PLAN_WORKERS``.
+# Both resolve from the environment when not passed explicitly:
+# ``REPRO_PLAN_BACKEND``, ``REPRO_PLAN_WORKERS``.
 
-DEFAULT_LOWERING = "v2"
-LOWERINGS = ("v1", "v2")
 DEFAULT_BACKEND = "serial"
 BACKENDS = ("serial", "threaded")
-
-
-def resolve_lowering(lowering: str | None = None) -> str:
-    value = lowering or os.environ.get("REPRO_PLAN_LOWERING") or DEFAULT_LOWERING
-    if value not in LOWERINGS:
-        raise ValueError(f"unknown plan lowering {value!r}; "
-                         f"expected one of {LOWERINGS}")
-    return value
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -235,26 +220,19 @@ def _slice_bounds(n: int, parts: int) -> list[tuple[int, int]]:
 class _BuildContext:
     """Per-plan build state the kernel builders read from ``scratch``.
 
-    Carries the resolved lowering level and worker count, and owns the
-    *kernel scratch lease pool*: v2 kernels that need private temporaries
-    (conv backward's ``gcols``/``gpadded``, the fused chains' column
-    buffers, accumulate-path products) lease them by (shape, dtype, tag)
-    instead of allocating per kernel.  Kernel scratch is dead outside its
-    own kernel and kernels replay one at a time, so every same-shaped
-    lease shares one buffer; threaded slices that need disjoint scratch
-    distinguish themselves with ``tag``.
+    Owns the *kernel scratch lease pool*: kernels that need private
+    temporaries (conv backward's ``gcols``/``gpadded``, the fused chains'
+    column buffers, accumulate-path products) lease them by (shape,
+    dtype, tag) instead of allocating per kernel.  Kernel scratch is dead
+    outside its own kernel and kernels replay one at a time, so every
+    same-shaped lease shares one buffer; threaded slices that need
+    disjoint scratch distinguish themselves with ``tag``.
     """
 
     KEY = "__build__"   # scratch-dict key (node keys are ints, no clash)
 
-    def __init__(self, lowering: str, workers: int):
-        self.lowering = lowering
-        self.workers = workers
+    def __init__(self):
         self._leases: dict[tuple, np.ndarray] = {}
-
-    @property
-    def v2(self) -> bool:
-        return self.lowering != "v1"
 
     def lease(self, shape, dtype, tag: Hashable = 0) -> np.ndarray:
         key = (tuple(shape), np.dtype(dtype).str, tag)
@@ -268,22 +246,13 @@ class _BuildContext:
         return sum(buf.nbytes for buf in self._leases.values())
 
 
-def _build_ctx(scratch: dict) -> _BuildContext | None:
-    return scratch.get(_BuildContext.KEY)
-
-
 def _lease(scratch: dict, shape, dtype, tag: Hashable = 0) -> np.ndarray:
     """Kernel scratch from the plan's lease pool (private when there is
     no build context, e.g. a builder exercised standalone in tests)."""
-    ctx = _build_ctx(scratch)
+    ctx = scratch.get(_BuildContext.KEY)
     if ctx is None:
         return np.empty(shape, dtype)
     return ctx.lease(shape, dtype, tag)
-
-
-def _is_v2(scratch: dict) -> bool:
-    ctx = _build_ctx(scratch)
-    return ctx is not None and ctx.v2
 
 
 def record_forward(fn: Callable[[], Tensor]) -> tuple[Tensor, list[Tensor]]:
@@ -366,7 +335,7 @@ def _fwd_pow(node, scratch):
 def _fwd_matmul(node, scratch):
     a, b = node._prev[0].data, node._prev[1].data
     out = node.data
-    if (_is_v2(scratch) and a.ndim >= 3 and b.ndim == 2
+    if (a.ndim >= 3 and b.ndim == 2
             and a.flags.c_contiguous and out.flags.c_contiguous):
         # A batch of row blocks times one shared right matrix is a single
         # GEMM on the flattened rows: every output element is the same
@@ -542,11 +511,12 @@ def _fwd_dropout(node, scratch):
     return run
 
 
-def _fwd_conv2d_v2(node, scratch):
-    # Lowered layout: the patch matrix is kept transposed and contiguous
-    # as colsT (C·k·k, H·W), filled by k·k contiguous tap copies instead
-    # of one big strided gather.  The forward GEMM flat_w @ colsT computes
-    # the same dot products as the v1 transposed path bit-for-bit.
+def _fwd_conv2d_colsT(node, scratch):
+    # Single image with a channel-first contiguous output (the gate-
+    # fusion normalization): the patch matrix is kept transposed and
+    # contiguous as colsT (C·k·k, H·W), filled by k·k contiguous tap
+    # copies instead of one big strided gather, and the GEMM
+    # flat_w @ colsT lands directly in the (O, H·W) output layout.
     kernel, pad, batched, eager_cols = node._ctx
     x = node._prev[0].data
     weight = node._prev[1].data
@@ -594,9 +564,9 @@ def _fwd_conv2d(node, scratch):
     data4 = x if batched else x[None]
     batch, channels, height, width = data4.shape
     out_channels = weight.shape[0]
-    out4_probe = out if batched else out[None]
-    if _is_v2(scratch) and batch == 1 and out4_probe.flags.c_contiguous:
-        return _fwd_conv2d_v2(node, scratch)
+    out4 = out if batched else out[None]
+    if batch == 1 and out4.flags.c_contiguous:
+        return _fwd_conv2d_colsT(node, scratch)
     padded = np.zeros((batch, channels, height + 2 * pad, width + 2 * pad),
                       dtype=x.dtype)
     inner = padded[:, :, pad:pad + height, pad:pad + width]
@@ -615,7 +585,6 @@ def _fwd_conv2d(node, scratch):
                         dtype=x.dtype)
     cols6 = cols.reshape(batch, height, width, channels, kernel, kernel)
     flat_w = weight.reshape(out_channels, -1)
-    out4 = out if batched else out[None]
     scratch[id(node)] = cols
     # The eager output is a transposed *view* of the GEMM result; adopt
     # that base array as the matmul target so the replay, like the eager
@@ -623,22 +592,12 @@ def _fwd_conv2d(node, scratch):
     mm = out.base
     adopted = (mm is not None
                and mm.shape == (batch * height * width, out_channels))
-    # Channel-first contiguous output (the gate-fusion normalization):
-    # run the GEMM transposed — flat_w @ colsᵀ lands directly in the
-    # (O, H·W) layout, so no transposition pass is ever materialized.
-    transposed = (not adopted and batch == 1 and out4.flags.c_contiguous)
-    if not (adopted or transposed):
+    if not adopted:
         mm = np.empty((batch * height * width, out_channels), dtype=x.dtype)
-    out_flat = out4.reshape(out_channels, -1) if transposed else None
 
     def run():
         np.copyto(inner, data4)
         np.copyto(cols6, patches)
-        if transposed:
-            np.matmul(flat_w, cols.T, out=out_flat)
-            if bias is not None:
-                np.add(out_flat, bias[:, None], out=out_flat)
-            return
         np.matmul(cols, flat_w.T, out=mm)
         if bias is not None:
             np.add(mm, bias, out=mm)
@@ -733,8 +692,7 @@ def _bwd_mul(node, grads, written, scratch):
                 runs.append(lambda pg=pg, other=other:
                             np.multiply(g, other, out=pg))
             else:
-                tmp = (_lease(scratch, g.shape, g.dtype, "mul")
-                       if _is_v2(scratch) else np.empty_like(g))
+                tmp = _lease(scratch, g.shape, g.dtype, "mul")
 
                 def accumulate(pg=pg, other=other, tmp=tmp):
                     np.multiply(g, other, out=tmp)
@@ -780,11 +738,11 @@ def _bwd_matmul(node, grads, written, scratch):
             b_T = b.swapaxes(-1, -2)
             shape = (np.broadcast_shapes(g.shape[:-2], b_T.shape[:-2])
                      + (g.shape[-2], b_T.shape[-1]))
-            flat = (_is_v2(scratch) and b.ndim == 2 and g.ndim >= 3
+            flat = (b.ndim == 2 and g.ndim >= 3
                     and tuple(shape) == pg.shape
                     and g.flags.c_contiguous and pg.flags.c_contiguous)
             if flat:
-                # Same flattened-GEMM rewrite as the v2 forward: dA rows
+                # Same flattened-GEMM rewrite as the forward: dA rows
                 # are independent dot products against b_T, so one flat
                 # GEMM is bitwise the batched loop.
                 g2 = g.reshape(-1, g.shape[-1])
@@ -801,7 +759,7 @@ def _bwd_matmul(node, grads, written, scratch):
                     runs.append(acc_a)
             elif store and tuple(shape) == pg.shape:
                 runs.append(lambda pg=pg, b_T=b_T: np.matmul(g, b_T, out=pg))
-            elif _is_v2(scratch) and tuple(shape) == pg.shape:
+            elif tuple(shape) == pg.shape:
                 # Accumulate path without the per-replay allocation: GEMM
                 # into leased scratch, then one in-place add.
                 tmp = _lease(scratch, shape, pg.dtype, "mm")
@@ -839,7 +797,7 @@ def _bwd_matmul(node, grads, written, scratch):
             a_T = a.swapaxes(-1, -2)
             shape = (np.broadcast_shapes(a_T.shape[:-2], g.shape[:-2])
                      + (a_T.shape[-2], g.shape[-1]))
-            flat = (_is_v2(scratch) and b.ndim == 2 and a.ndim >= 3
+            flat = (b.ndim == 2 and a.ndim >= 3
                     and a.shape[:-2] == g.shape[:-2]
                     and a.flags.c_contiguous and g.flags.c_contiguous)
             if flat:
@@ -863,7 +821,7 @@ def _bwd_matmul(node, grads, written, scratch):
                     runs.append(acc_b)
             elif store and tuple(shape) == pg.shape:
                 runs.append(lambda pg=pg, a_T=a_T: np.matmul(a_T, g, out=pg))
-            elif _is_v2(scratch) and tuple(shape) == pg.shape:
+            elif tuple(shape) == pg.shape:
                 tmp = _lease(scratch, shape, pg.dtype, "mm")
 
                 def acc_b2(pg=pg, a_T=a_T, tmp=tmp):
@@ -949,10 +907,8 @@ def _bwd_softmax(node, grads, written, scratch):
     # grad itself when storing, a preallocated scratch when accumulating.
     if store and pg.shape == g.shape:
         tmp = pg
-    elif _is_v2(scratch):
-        tmp = _lease(scratch, g.shape, g.dtype, "softmax")
     else:
-        tmp = np.empty_like(g)
+        tmp = _lease(scratch, g.shape, g.dtype, "softmax")
 
     def run():
         np.multiply(g, out, out=tmp)
@@ -1127,8 +1083,8 @@ def _bwd_dropout(node, grads, written, scratch):
     return lambda: np.add(pg, g * mask, out=pg)
 
 
-def _bwd_conv2d_v2(node, grads, written, scratch, colsT):
-    # Backward for the lowered colsT layout.  All three gradient GEMMs
+def _bwd_conv2d_colsT(node, grads, written, scratch, colsT):
+    # Backward for the colsT layout.  All three gradient GEMMs
     # read the transposed patch matrix directly; the col2im scatter and
     # the dX column buffer run through leased kernel scratch, so every
     # conv node in the plan shares one gcolsT/gpadded allocation.
@@ -1211,15 +1167,16 @@ def _bwd_conv2d(node, grads, written, scratch):
     x, weight = x_t.data, w_t.data
     cols = scratch[id(node)]
     if isinstance(cols, tuple):
-        return _bwd_conv2d_v2(node, grads, written, scratch, cols[1])
+        return _bwd_conv2d_colsT(node, grads, written, scratch, cols[1])
     data4_shape = x.shape if batched else (1,) + x.shape
     batch, channels, height, width = data4_shape
     out_channels = weight.shape[0]
     flat_w = weight.reshape(out_channels, -1)
     g4 = g if batched else g[None]
-    # With a contiguous channel-first gradient (the gate-fusion layout)
-    # the whole backward runs off the transposed (O, H·W) view — the
-    # same dot products, no transposition pass.
+    # A single image whose forward adopted the eager GEMM view: the
+    # contiguous gradient is already the (O, H·W) matrix, so the whole
+    # backward runs off it — the same dot products, no transposition
+    # pass.
     transposed = batch == 1 and g4.flags.c_contiguous
     if transposed:
         g_om = g4.reshape(out_channels, -1)
@@ -1429,22 +1386,9 @@ def _separable_avg3(src, dst, colbuf, scale):
     ``scale``) via two 3-tap passes.  The operator equals the eager
     9-window loop; only the order of the 9 additions differs (≈1e-16
     relative rounding).  Symmetric, so it is also its own adjoint —
-    the backward pass reuses it on the gradient."""
-    np.copyto(colbuf, src)
-    colbuf[..., 1:, :] += src[..., :-1, :]
-    colbuf[..., :-1, :] += src[..., 1:, :]
-    np.copyto(dst, colbuf)
-    dst[..., :, 1:] += colbuf[..., :, :-1]
-    dst[..., :, :-1] += colbuf[..., :, 1:]
-    np.multiply(dst, scale, out=dst)
-
-
-def _separable_avg3_v2(src, dst, colbuf, scale):
-    """The v2 lowering of :func:`_separable_avg3`: same 3-tap operator,
-    same per-element addition order (``x[i] + x[i-1]``, then ``+
-    x[i+1]``), so the result is *bitwise* identical — but each pass
-    starts from a fused two-operand add instead of a full copy followed
-    by an in-place add, saving one full sweep of the array per pass."""
+    the backward pass reuses it on the gradient.  Each pass starts from
+    a fused two-operand add (``x[i] + x[i-1]``, then ``+ x[i+1]``),
+    which saves a full copy sweep per pass."""
     np.add(src[..., 1:, :], src[..., :-1, :], out=colbuf[..., 1:, :])
     np.copyto(colbuf[..., :1, :], src[..., :1, :])
     colbuf[..., :-1, :] += src[..., 1:, :]
@@ -1465,18 +1409,14 @@ def _fused_gate_forward(fusion: _GateFusion, scratch,
     height, width = x.shape[-2:]
     channels = channel_range or range(x.shape[-3])
     lead = x.shape[:-3]
-    avg3 = _separable_avg3_v2 if _is_v2(scratch) else _separable_avg3
-    if _is_v2(scratch):
-        colbuf = _lease(scratch, lead + (height, width), x.dtype,
-                        ("gate_col", tag))
-    else:
-        colbuf = np.empty(lead + (height, width), dtype=x.dtype)
+    colbuf = _lease(scratch, lead + (height, width), x.dtype,
+                    ("gate_col", tag))
 
     def run():
         for c in channels:
             cc = corr[..., c, :, :]
             gc = gate[..., c, :, :]
-            avg3(x[..., c, :, :], cc, colbuf, 1.0 / 9.0)
+            _separable_avg3(x[..., c, :, :], cc, colbuf, 1.0 / 9.0)
             if madd is None:
                 np.subtract(cc, cc.max(axis=-1, keepdims=True), out=gc)
             else:
@@ -1501,18 +1441,10 @@ def _fused_gate_backward(fusion: _GateFusion, grads, written, scratch,
     channels = channel_range or range(corr.shape[-3])
     lead = corr.shape[:-3]
     shape = lead + (height, width)
-    if _is_v2(scratch):
-        dcorr = _lease(scratch, shape, corr.dtype, ("gate_dcorr", tag))
-        dgate = _lease(scratch, shape, corr.dtype, ("gate_dgate", tag))
-        tmp = _lease(scratch, shape, corr.dtype, ("gate_tmp", tag))
-        colbuf = _lease(scratch, shape, corr.dtype, ("gate_col", tag))
-        avg3 = _separable_avg3_v2
-    else:
-        dcorr = np.empty(shape, dtype=corr.dtype)
-        dgate = np.empty_like(dcorr)
-        tmp = np.empty_like(dcorr)
-        colbuf = np.empty_like(dcorr)
-        avg3 = _separable_avg3
+    dcorr = _lease(scratch, shape, corr.dtype, ("gate_dcorr", tag))
+    dgate = _lease(scratch, shape, corr.dtype, ("gate_dgate", tag))
+    tmp = _lease(scratch, shape, corr.dtype, ("gate_tmp", tag))
+    colbuf = _lease(scratch, shape, corr.dtype, ("gate_col", tag))
 
     def run():
         for c in channels:
@@ -1533,9 +1465,9 @@ def _fused_gate_backward(fusion: _GateFusion, grads, written, scratch,
             # backward scatter (same separable 3-tap operator).
             target = pg[..., c, :, :]
             if store:
-                avg3(dcorr, target, colbuf, 1.0 / 9.0)
+                _separable_avg3(dcorr, target, colbuf, 1.0 / 9.0)
             else:
-                avg3(dcorr, tmp, colbuf, 1.0 / 9.0)
+                _separable_avg3(dcorr, tmp, colbuf, 1.0 / 9.0)
                 np.add(target, tmp, out=target)
     return run
 
@@ -1996,8 +1928,7 @@ def _partition_fwd(node, scratch, workers):
         # m-split of the flattened-rows GEMM (rows independent) — only
         # when the serial kernel takes the same flattened path, so the
         # two backends sum identical k-panels.
-        if (_is_v2(scratch) and a.flags.c_contiguous
-                and out.flags.c_contiguous):
+        if a.flags.c_contiguous and out.flags.c_contiguous:
             a2 = a.reshape(-1, a.shape[-1])
             o2 = out.reshape(-1, out.shape[-1])
             rb = _slice_bounds(a2.shape[0], workers)
@@ -2179,11 +2110,11 @@ def _partition_bwd(node, grads, written, scratch, workers):
             g2, pg2 = g, pg
             rb = bounds
         else:
-            # Mirror the serial v2 flattened-dA path's exact conditions;
-            # under v1 the serial kernel runs a batched GEMM, so the op
-            # stays serial there.
-            if not (_is_v2(scratch) and g.flags.c_contiguous
-                    and pg.flags.c_contiguous and pg.shape == a.shape):
+            # Mirror the serial flattened-dA path's exact conditions;
+            # otherwise the serial kernel runs a batched GEMM, so the op
+            # stays serial.
+            if not (g.flags.c_contiguous and pg.flags.c_contiguous
+                    and pg.shape == a.shape):
                 return None
             g2 = g.reshape(-1, g.shape[-1])
             pg2 = pg.reshape(-1, pg.shape[-1])
@@ -2212,10 +2143,9 @@ def _partition_bwd(node, grads, written, scratch, workers):
                     return None
                 a2_T = a.T
             else:
-                # Only when the serial v2 flattened-dB path applies (one
+                # Only when the serial flattened-dB path applies (one
                 # flat GEMM); any other association must stay serial.
-                if not (_is_v2(scratch) and a.flags.c_contiguous
-                        and g.flags.c_contiguous
+                if not (a.flags.c_contiguous and g.flags.c_contiguous
                         and a.shape[:-2] == g.shape[:-2]):
                     return None
                 a2_T = a.reshape(-1, a.shape[-1]).T
@@ -2496,11 +2426,10 @@ class Plan:
     """
 
     def __init__(self, loss: Tensor, nodes: list[Tensor],
-                 pool_gradients: bool = True, lowering: str | None = None,
-                 backend: str | None = None, num_workers: int | None = None):
+                 pool_gradients: bool = True, backend: str | None = None,
+                 num_workers: int | None = None):
         if not loss.requires_grad or loss.size != 1:
             raise ValueError("plan requires a scalar loss with requires_grad")
-        self.lowering = resolve_lowering(lowering)
         self.backend = resolve_backend(backend)
         self.num_workers = resolve_workers(num_workers) \
             if self.backend == "threaded" else 1
@@ -2528,10 +2457,7 @@ class Plan:
         # per-channel blocked kernels strided) — before any builder or
         # gradient buffer captures a layout.
         fusions = _find_gate_fusions(nodes)
-        # LayerNorm chains fuse only under the v2 lowering: v1 keeps the
-        # generic per-node kernels as the honest comparison baseline.
-        ln_fusions = (_find_layernorm_fusions(nodes)
-                      if self.lowering == "v2" else [])
+        ln_fusions = _find_layernorm_fusions(nodes)
         fuse_fwd_head = {id(f.pool): f for f in fusions}
         fuse_fwd_head.update({id(f.s1): f for f in ln_fusions})
         fuse_fwd_skip = {id(t) for f in fusions for t in f.fused_away}
@@ -2567,7 +2493,7 @@ class Plan:
         grads[id(loss)][...] = 1.0   # seed; loss has no consumers
         self._grads = grads
 
-        build = _BuildContext(self.lowering, self.num_workers)
+        build = _BuildContext()
         scratch: dict = {_BuildContext.KEY: build}
         self._build = build
         threaded = self._worker_pool is not None
@@ -2952,11 +2878,10 @@ class InferencePlan:
 
     def __init__(self, output: Tensor, nodes: list[Tensor],
                  inputs: Sequence[Tensor], params: Sequence[Tensor] | None = None,
-                 pool_buffers: bool = True, lowering: str | None = None,
-                 backend: str | None = None, num_workers: int | None = None):
+                 pool_buffers: bool = True, backend: str | None = None,
+                 num_workers: int | None = None):
         if not output._prev:
             raise ValueError("inference plan output must be a computed node")
-        self.lowering = resolve_lowering(lowering)
         self.backend = resolve_backend(backend)
         self.num_workers = resolve_workers(num_workers) \
             if self.backend == "threaded" else 1
@@ -2985,8 +2910,7 @@ class InferencePlan:
         # Fusion decisions first (they fix birth positions); consumers
         # are computed over live nodes only — dead branches never replay.
         fusions = _find_gate_fusions(order)
-        ln_fusions = (_find_layernorm_fusions(order)
-                      if self.lowering == "v2" else [])
+        ln_fusions = _find_layernorm_fusions(order)
         fuse_fwd_head = {id(f.pool): f for f in fusions}
         fuse_fwd_head.update({id(f.s1): f for f in ln_fusions})
         fuse_fwd_skip = {id(t) for f in fusions for t in f.fused_away}
@@ -3021,7 +2945,7 @@ class InferencePlan:
             self._slot_bytes = self._slot_bytes_unpooled
             self._slot_peak_bytes = self._slot_bytes_unpooled
 
-        build = _BuildContext(self.lowering, self.num_workers)
+        build = _BuildContext()
         scratch: dict = {_BuildContext.KEY: build}
         self._build = build
         threaded = self._worker_pool is not None
@@ -3256,13 +3180,11 @@ class CompiledStep:
     def __init__(self, loss_fn: Callable[[], Tensor],
                  signature_fn: Callable[[], Hashable] | None = None,
                  optimizer=None, grad_clip: float = 0.0,
-                 lowering: str | None = None, backend: str | None = None,
-                 num_workers: int | None = None):
+                 backend: str | None = None, num_workers: int | None = None):
         self._loss_fn = loss_fn
         self._signature_fn = signature_fn
         self._optimizer = optimizer
         self._grad_clip = grad_clip
-        self._lowering = lowering
         self._backend = backend
         self._num_workers = num_workers
         self._plan: Plan | None = None
@@ -3294,8 +3216,7 @@ class CompiledStep:
         with record_tape() as nodes:
             loss = self._loss_fn()
         RECORD_STATS.training_records += 1
-        self._plan = Plan(loss, nodes, lowering=self._lowering,
-                          backend=self._backend,
+        self._plan = Plan(loss, nodes, backend=self._backend,
                           num_workers=self._num_workers)
         if self._optimizer is not None:
             self._plan.fuse_optimizer(self._optimizer, self._grad_clip)
@@ -3312,9 +3233,8 @@ class CompiledStep:
 def compile_step(loss_fn: Callable[[], Tensor],
                  signature_fn: Callable[[], Hashable] | None = None,
                  optimizer=None, grad_clip: float = 0.0,
-                 lowering: str | None = None, backend: str | None = None,
+                 backend: str | None = None,
                  num_workers: int | None = None) -> CompiledStep:
     """Convenience constructor mirroring ``torch.compile``'s shape."""
     return CompiledStep(loss_fn, signature_fn, optimizer, grad_clip,
-                        lowering=lowering, backend=backend,
-                        num_workers=num_workers)
+                        backend=backend, num_workers=num_workers)

@@ -33,10 +33,9 @@ The production-facing API over everything the execution engine
   (uniform traffic vs the direct batched path, ragged traffic vs
   sequential serving).
 
-The legacy entry points — :func:`repro.core.engine.batched_embed`,
-:func:`repro.core.engine.sequential_embed` and
-:func:`repro.experiments.common.compute_embeddings` — are thin
-deprecated shims over this package.
+:class:`EmbeddingService` is the one embedding entry point: the engine's
+reports and :func:`repro.experiments.common.compute_embeddings` embed
+through it too.
 """
 
 from .api import (

@@ -7,10 +7,8 @@ repo produces flows through its single batch code path:
 - :meth:`embed_batch` runs one padded :class:`~repro.core.engine.CityBatch`
   through the model as a single ``(b, n, d)`` pass, eagerly or by
   replaying a compiled :class:`~repro.nn.compile.InferencePlan` fetched
-  from the plan cache (the code path the deprecated
-  :func:`repro.core.engine.batched_embed` shim delegates to);
-- :meth:`embed_each` is its per-city parity twin (the
-  ``sequential_embed`` shim);
+  from the plan cache;
+- :meth:`embed_each` is its per-city parity twin;
 - :meth:`submit` / :meth:`poll` / :meth:`flush` queue typed
   :class:`~repro.serving.api.EmbedRequest`\\ s through the
   :class:`~repro.serving.scheduler.ShapeBucketScheduler`, co-batching
@@ -116,9 +114,8 @@ class EmbeddingService:
     compiled:
         Serve through cached :class:`InferencePlan` replays (default) or
         the eager tape (``False`` — the debugging escape hatch).
-    lowering, backend, num_workers:
-        Kernel lowering level and replay backend for the service's
-        plans (defaults: the ``REPRO_PLAN_LOWERING`` /
+    backend, num_workers:
+        Replay backend for the service's plans (defaults: the
         ``REPRO_PLAN_BACKEND`` / ``REPRO_PLAN_WORKERS`` environment).
         ``backend="threaded"`` replays batch-parallel-safe kernels
         across a worker pool — bit-identical output, selected per plan
@@ -155,8 +152,8 @@ class EmbeddingService:
     def __init__(self, model: HAFusion, *, n_max: int | None = None,
                  view_dims: Sequence[int] | None = None,
                  view_names: Sequence[str] | None = None,
-                 compiled: bool = True, lowering: str | None = None,
-                 backend: str | None = None, num_workers: int | None = None,
+                 compiled: bool = True, backend: str | None = None,
+                 num_workers: int | None = None,
                  plan_cache: PlanCache | None = None,
                  policy: FlushPolicy | None = None,
                  clock: Callable[[], float] | None = None,
@@ -169,7 +166,6 @@ class EmbeddingService:
                           else inferred_dims)
         self.view_names = tuple(view_names) if view_names is not None else None
         self.compiled = compiled
-        self.lowering = lowering
         self.backend = backend
         self.num_workers = num_workers
         self.plan_cache = (plan_cache if plan_cache is not None
@@ -240,7 +236,6 @@ class EmbeddingService:
             return output, nodes, slots
 
         return self.plan_cache.get(key, params, record,
-                                   lowering=self.lowering,
                                    backend=self.backend,
                                    num_workers=self.num_workers)
 
@@ -560,12 +555,11 @@ class EmbeddingService:
         regions = sum(s["regions"] for s in buckets.values())
         slots = sum(st.slots for st in self._bucket_stats.values())
         seconds = sum(s["seconds"] for s in buckets.values())
-        from ..nn.compile import resolve_backend, resolve_lowering
+        from ..nn.compile import resolve_backend
         return {
             "n_max": self.n_max,
             "view_dims": list(self.view_dims),
             "compiled": self.compiled,
-            "lowering": resolve_lowering(self.lowering),
             "backend": resolve_backend(self.backend),
             "requests": self._submitted,
             "responses": self._answered,

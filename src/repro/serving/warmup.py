@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..nn.plancache import PlanCache, config_digest
 from .service import EmbeddingService
 
@@ -34,22 +35,6 @@ __all__ = ["WarmupPack", "default_shape_grid"]
 _MANIFEST = "warmup_pack.json"
 #: Bump when the manifest layout changes.
 _PACK_VERSION = 1
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` durably: temp file + fsync + ``os.replace``.
-
-    The manifest is the pack's validity marker (:meth:`WarmupPack.exists`
-    trusts its presence), so it must appear atomically — a crash
-    mid-build must leave either no manifest or a complete one, never a
-    partial file a later ``exists()`` check would treat as a valid pack.
-    """
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 def default_shape_grid(policy_max_batch: int,
@@ -144,9 +129,11 @@ class WarmupPack:
         directory.mkdir(parents=True, exist_ok=True)
         # Specs were persisted by service.warm() above; the manifest
         # lands last and atomically, so its presence implies a complete
-        # pack (exists() gates worker spawns on exactly this file).
-        _atomic_write_text(directory / _MANIFEST,
-                           json.dumps(manifest, indent=2))
+        # pack (exists() gates worker spawns on exactly this file) — a
+        # crash mid-build leaves no manifest or a complete one, never a
+        # partial file exists() would trust.
+        atomic_write(directory / _MANIFEST,
+                     [json.dumps(manifest, indent=2).encode("utf-8")])
         return cls(directory=directory, manifest=manifest)
 
     @classmethod

@@ -17,9 +17,11 @@ A checkpoint captures everything the next epoch depends on:
 - the **epoch counter** and the loss curve / wall-clock of the
   :class:`~repro.core.trainer.TrainingHistory`.
 
-Durability follows the ``plancache`` recipe: serialize to a temp file,
-``fsync``, then ``os.replace`` — a reader never sees a partial
-checkpoint, and a crash mid-write leaves the previous checkpoint intact.
+Durability follows the :mod:`repro.durable` recipe: serialize to a temp
+file, ``fsync``, then ``os.replace`` — a reader never sees a partial
+checkpoint, and a crash mid-write leaves the previous checkpoint intact
+(a hard kill can strand the temp file; the next
+:meth:`CheckpointStore.load_latest` removes it).
 Every file carries a SHA-256 checksum; :meth:`CheckpointStore.load_latest`
 validates it and falls back to the newest *intact* checkpoint when the
 newest file is truncated or corrupted (the bad file is set aside as
@@ -44,6 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..nn.module import Module
 from ..nn.optim import Optimizer
 
@@ -149,38 +152,17 @@ def restore_rng_states(model: Module, states: Sequence[dict]) -> None:
 
 def write_checkpoint(path: "str | os.PathLike", payload: dict,
                      fault: Callable[[], None] | None = None) -> Path:
-    """Atomically persist ``payload``: temp file + checksum + ``fsync``
-    + ``os.replace``, the :mod:`repro.nn.plancache` durability recipe.
+    """Atomically persist ``payload`` with its checksum through
+    :func:`repro.durable.atomic_write` (temp file + ``fsync`` +
+    ``os.replace``).
 
     ``fault`` (tests only) fires after the temp file is durable but
     before the rename — a kill there must leave any previous checkpoint
     at ``path`` untouched.
     """
-    path = Path(path)
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(blob).hexdigest().encode("ascii")
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "wb") as f:
-        f.write(_MAGIC)
-        f.write(digest)
-        f.write(b"\n")
-        f.write(blob)
-        f.flush()
-        os.fsync(f.fileno())
-    if fault is not None:
-        fault()
-    os.replace(tmp, path)
-    # Make the rename itself durable (best-effort: not all platforms
-    # support fsync on a directory fd).
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:
-        pass
-    return path
+    return atomic_write(path, (_MAGIC, digest, b"\n", blob), fault=fault)
 
 
 def read_checkpoint(path: "str | os.PathLike") -> dict:
@@ -268,8 +250,18 @@ class CheckpointStore:
 
         A truncated/corrupted/version-skewed file is renamed to
         ``<name>.corrupt`` (kept for debugging, never re-read) and the
-        walk falls back to the next-newest file.
+        walk falls back to the next-newest file.  Temp files a killed
+        writer left between fsync and rename (``ckpt-*.ckpt.tmp<pid>``)
+        are removed first: this is the resume entry, so no writer is
+        live, and retention (which globs ``ckpt-*.ckpt``) never sees
+        them.
         """
+        if self.directory.is_dir():
+            for tmp in self.directory.glob("ckpt-*.ckpt.tmp*"):
+                try:
+                    tmp.unlink()
+                except OSError:
+                    pass
         for epoch in reversed(self.epochs()):
             path = self.path_for(epoch)
             try:

@@ -4,9 +4,9 @@ pool.
 
 Contracts under test:
 
-- ``batched_embed(..., compiled=True)`` / ``sequential_embed`` replay
-  flat kernels and match the eager engine to ≤1e-8 (float64) / ≈1e-4
-  (float32, with no dtype leaks);
+- compiled :class:`~repro.serving.EmbeddingService` ``embed_batch`` /
+  ``embed_each`` replay flat kernels and match the eager engine to
+  ≤1e-8 (float64) / ≈1e-4 (float32, with no dtype leaks);
 - the cache keys on (config digest, shapes, dtype, mask signature):
   same-key requests replay a live plan, parameter swaps relower the
   cached spec (no record epoch), key changes record exactly once;
@@ -19,18 +19,13 @@ Contracts under test:
   smaller than the one-buffer-per-slot layout.
 """
 
+import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    HAFusionConfig,
-    batched_embed,
-    make_batch,
-    sequential_embed,
-)
-from repro.core.engine import build_batched_model, _serving_plan
+from repro.core import HAFusionConfig, build_batched_model, make_batch
 from repro.data import CityConfig, generate_city
 from repro.nn import (
     RECORD_STATS,
@@ -42,6 +37,7 @@ from repro.nn import (
     use_dtype,
 )
 from repro.nn.compile import InferencePlan
+from repro.serving import EmbeddingService
 
 ATOL64 = 1e-8
 ATOL32 = 1e-4
@@ -72,11 +68,18 @@ def same_cities():
     ]
 
 
+def _embed(batch, model, cache=None):
+    """One ``embed_batch`` over ``model``: the eager tape without a
+    ``cache``, a compiled plan replay through ``cache`` with one."""
+    service = EmbeddingService(model, compiled=cache is not None,
+                               plan_cache=cache)
+    return service.embed_batch(batch)
+
+
 def _assert_embed_parity(batch, model, cache, atol=ATOL64):
-    eager = batched_embed(batch, model=model)
-    compiled = batched_embed(batch, model=model, compiled=True,
-                             plan_cache=cache)
-    for e, c in zip(eager.embeddings, compiled.embeddings):
+    eager = _embed(batch, model)
+    compiled = _embed(batch, model, cache)
+    for e, c in zip(eager, compiled):
         np.testing.assert_allclose(c, e, rtol=0.0, atol=atol)
     return eager, compiled
 
@@ -93,18 +96,16 @@ class TestServingParity:
         cache = PlanCache()
         _assert_embed_parity(batch, model, cache)
         # The masked gate chain fuses in the inference plan too.
-        plan = _serving_plan(model, batch.matrices, batch.forward_mask(),
-                             cache, "batched_embed")
+        plan = EmbeddingService(model, plan_cache=cache).plan_for(batch)
         assert plan.num_fused_chains == tiny_config.intra_layers * 3
 
     def test_sequential_embed_compiled(self, ragged_cities, tiny_config):
         batch = make_batch(ragged_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cache = PlanCache()
-        eager = sequential_embed(batch, model=model)
-        compiled = sequential_embed(batch, model=model, compiled=True,
-                                    plan_cache=cache)
-        for e, c in zip(eager.embeddings, compiled.embeddings):
+        eager = EmbeddingService(model, compiled=False).embed_each(batch)
+        compiled = EmbeddingService(model, plan_cache=cache).embed_each(batch)
+        for e, c in zip(eager, compiled):
             np.testing.assert_allclose(c, e, rtol=0.0, atol=ATOL64)
         # One plan per distinct mask pattern — three ragged cities.
         assert cache.misses == 3
@@ -113,12 +114,10 @@ class TestServingParity:
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cache = PlanCache()
-        first = batched_embed(batch, model=model, compiled=True,
-                              plan_cache=cache)
-        second = batched_embed(batch, model=model, compiled=True,
-                               plan_cache=cache)
+        first = _embed(batch, model, cache)
+        second = _embed(batch, model, cache)
         assert cache.hits >= 1
-        for a, b in zip(first.embeddings, second.embeddings):
+        for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def test_float32_serving(self, ragged_cities, tiny_config):
@@ -128,7 +127,7 @@ class TestServingParity:
             model = build_batched_model(batch, tiny_config, seed=0)
             eager, compiled = _assert_embed_parity(batch, model, PlanCache(),
                                                    atol=ATOL32)
-        for e, c in zip(eager.embeddings, compiled.embeddings):
+        for e, c in zip(eager, compiled):
             assert e.dtype == np.float32
             assert c.dtype == np.float32
 
@@ -137,7 +136,7 @@ class TestServingParity:
         batch = make_batch(ragged_cities)
         before = [m.copy() for m in batch.matrices]
         model = build_batched_model(batch, tiny_config, seed=0)
-        batched_embed(batch, model=model, compiled=True, plan_cache=PlanCache())
+        _embed(batch, model, PlanCache())
         for m, ref in zip(batch.matrices, before):
             np.testing.assert_array_equal(m, ref)
 
@@ -170,16 +169,16 @@ class TestPlanCacheKeys:
         even = make_batch(same_cities)           # unpadded, n_max=10
         model_r = build_batched_model(ragged, tiny_config, seed=0)
         model_e = build_batched_model(even, tiny_config, seed=0)
-        batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
-        batched_embed(even, model=model_e, compiled=True, plan_cache=cache)
+        _embed(ragged, model_r, cache)
+        _embed(even, model_e, cache)
         assert cache.misses == 2                 # different shapes+mask
-        batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
-        batched_embed(even, model=model_e, compiled=True, plan_cache=cache)
+        _embed(ragged, model_r, cache)
+        _embed(even, model_e, cache)
         assert cache.misses == 2 and cache.hits == 2
         # Same layout, different padding pattern -> different mask
         # signature -> third record.
         reordered = ragged.select([2, 0, 1])
-        batched_embed(reordered, model=model_r, compiled=True, plan_cache=cache)
+        _embed(reordered, model_r, cache)
         assert cache.misses == 3
 
     def test_cross_model_spec_reuse(self, same_cities, tiny_config):
@@ -188,15 +187,14 @@ class TestPlanCacheKeys:
         batch = make_batch(same_cities)
         cache = PlanCache()
         model_a = build_batched_model(batch, tiny_config, seed=0)
-        batched_embed(batch, model=model_a, compiled=True, plan_cache=cache)
+        _embed(batch, model_a, cache)
         model_b = build_batched_model(batch, tiny_config, seed=99)
         RECORD_STATS.reset()
-        eager_b = batched_embed(batch, model=model_b)
-        compiled_b = batched_embed(batch, model=model_b, compiled=True,
-                                   plan_cache=cache)
+        eager_b = _embed(batch, model_b)
+        compiled_b = _embed(batch, model_b, cache)
         assert RECORD_STATS.total == 0
         assert cache.spec_hits == 1
-        for e, c in zip(eager_b.embeddings, compiled_b.embeddings):
+        for e, c in zip(eager_b, compiled_b):
             np.testing.assert_allclose(c, e, rtol=0.0, atol=ATOL64)
 
     def test_param_swap_invalidation(self, same_cities, tiny_config):
@@ -206,14 +204,13 @@ class TestPlanCacheKeys:
         batch = make_batch(same_cities)
         cache = PlanCache()
         model = build_batched_model(batch, tiny_config, seed=0)
-        batched_embed(batch, model=model, compiled=True, plan_cache=cache)
+        _embed(batch, model, cache)
         model.load_state_dict({k: v * 0.5 for k, v in model.state_dict().items()})
         RECORD_STATS.reset()
-        eager = batched_embed(batch, model=model)
-        compiled = batched_embed(batch, model=model, compiled=True,
-                                 plan_cache=cache)
+        eager = _embed(batch, model)
+        compiled = _embed(batch, model, cache)
         assert RECORD_STATS.total == 0 and cache.spec_hits == 1
-        for e, c in zip(eager.embeddings, compiled.embeddings):
+        for e, c in zip(eager, compiled):
             np.testing.assert_allclose(c, e, rtol=0.0, atol=ATOL64)
 
     def test_lru_eviction(self, ragged_cities, same_cities, tiny_config):
@@ -223,9 +220,9 @@ class TestPlanCacheKeys:
         even = make_batch(same_cities)
         model_r = build_batched_model(ragged, tiny_config, seed=0)
         model_e = build_batched_model(even, tiny_config, seed=0)
-        batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
-        batched_embed(even, model=model_e, compiled=True, plan_cache=cache)
-        batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
+        _embed(ragged, model_r, cache)
+        _embed(even, model_e, cache)
+        _embed(ragged, model_r, cache)
         assert cache.misses == 3
         assert cache.stats()["cached_specs"] == 1
 
@@ -236,8 +233,7 @@ class TestDiskCache:
         batch = make_batch(ragged_cities)
         cold = PlanCache(directory=tmp_path)
         model = build_batched_model(batch, tiny_config, seed=0)
-        first = batched_embed(batch, model=model, compiled=True,
-                              plan_cache=cold)
+        first = _embed(batch, model, cold)
         assert cold.misses == 1
 
         # A fresh cache over the same directory simulates a new process:
@@ -246,38 +242,51 @@ class TestDiskCache:
         warm = PlanCache(directory=tmp_path)
         model2 = build_batched_model(batch, tiny_config, seed=0)
         RECORD_STATS.reset()
-        second = batched_embed(batch, model=model2, compiled=True,
-                               plan_cache=warm)
+        second = _embed(batch, model2, warm)
         assert RECORD_STATS.total == 0
         assert warm.disk_hits == 1 and warm.misses == 0
-        for a, b in zip(first.embeddings, second.embeddings):
+        for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def _cache_files(self, directory):
         return sorted(directory.glob("*.plan"))
+
+    def test_failed_store_leaves_no_temp_file(self, same_cities, tiny_config,
+                                              tmp_path, monkeypatch):
+        """Spec writes are atomic but not fsynced: a failed write is
+        counted, serving carries on, and the temp file is removed."""
+        batch = make_batch(same_cities)
+        model = build_batched_model(batch, tiny_config, seed=0)
+        cache = PlanCache(directory=tmp_path)
+
+        def broken_replace(src, dst):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        _assert_embed_parity(batch, model, cache)
+        assert cache.disk_errors == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupted_file_falls_back_to_record(self, same_cities,
                                                  tiny_config, tmp_path):
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cold = PlanCache(directory=tmp_path)
-        reference = batched_embed(batch, model=model, compiled=True,
-                                  plan_cache=cold)
+        reference = _embed(batch, model, cold)
         (path,) = self._cache_files(tmp_path)
         path.write_bytes(b"\x00not a pickle")
 
         warm = PlanCache(directory=tmp_path)
         RECORD_STATS.reset()
-        recovered = batched_embed(batch, model=model, compiled=True,
-                                  plan_cache=warm)
+        recovered = _embed(batch, model, warm)
         assert warm.disk_errors == 1 and warm.misses == 1
         assert RECORD_STATS.total == 1          # fell back to a record
-        for a, b in zip(reference.embeddings, recovered.embeddings):
+        for a, b in zip(reference, recovered):
             np.testing.assert_array_equal(a, b)
         # The re-record rewrote a good entry.
         fresh = PlanCache(directory=tmp_path)
         RECORD_STATS.reset()
-        batched_embed(batch, model=model, compiled=True, plan_cache=fresh)
+        _embed(batch, model, fresh)
         assert RECORD_STATS.total == 0 and fresh.disk_hits == 1
 
     def test_stale_key_falls_back_to_record(self, same_cities, tiny_config,
@@ -287,7 +296,7 @@ class TestDiskCache:
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cold = PlanCache(directory=tmp_path)
-        batched_embed(batch, model=model, compiled=True, plan_cache=cold)
+        _embed(batch, model, cold)
         (path,) = self._cache_files(tmp_path)
         spec = pickle.loads(path.read_bytes())
         spec.key = ("infer", "tampered")
@@ -295,7 +304,7 @@ class TestDiskCache:
 
         warm = PlanCache(directory=tmp_path)
         RECORD_STATS.reset()
-        batched_embed(batch, model=model, compiled=True, plan_cache=warm)
+        _embed(batch, model, warm)
         assert warm.disk_errors == 1 and warm.misses == 1
         assert RECORD_STATS.total == 1
 
@@ -307,7 +316,7 @@ class TestDiskCache:
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cache = PlanCache(directory=tmp_path)
-        batched_embed(batch, model=model, compiled=True, plan_cache=cache)
+        _embed(batch, model, cache)
         (path,) = self._cache_files(tmp_path)
         spec = pickle.loads(path.read_bytes())
         spec.param_count += 1                   # architecture drift
@@ -315,12 +324,11 @@ class TestDiskCache:
 
         warm = PlanCache(directory=tmp_path)
         RECORD_STATS.reset()
-        recovered = batched_embed(batch, model=model, compiled=True,
-                                  plan_cache=warm)
+        recovered = _embed(batch, model, warm)
         assert warm.invalidations == 1 and warm.misses == 1
         assert RECORD_STATS.total == 1
-        eager = batched_embed(batch, model=model)
-        for e, c in zip(eager.embeddings, recovered.embeddings):
+        eager = _embed(batch, model)
+        for e, c in zip(eager, recovered):
             np.testing.assert_allclose(c, e, rtol=0.0, atol=ATOL64)
 
 

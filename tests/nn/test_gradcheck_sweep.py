@@ -209,6 +209,50 @@ def _check_compiled_gradients(loss_fn, tensors, atol=1e-4, rtol=1e-4):
             f"{np.abs(actual - expected).max():.3e}")
 
 
+def _matmul_shared_rhs(x):
+    """One right matrix (derived from x, so its gradient is checked too)
+    shared by two matmuls: the second dB accumulates through leased
+    scratch — the flat GEMM at (b, n, d), the plain one at (n, d)."""
+    m = x.reshape(-1, 4).swapaxes(0, 1)
+    return ((x @ m) ** 2.0 + x.tanh() @ m).sum()
+
+
+def _matmul_batched_fallback(x):
+    """Batched matmuls the flat GEMM cannot take — a strided left operand,
+    and a 2-D left times a 3-D right — replay as batched GEMMs whose 2-D
+    operand gradients reduce through the broadcast sink."""
+    flat = x.reshape(-1, 4)
+    return (((x.swapaxes(-1, -2) @ flat[:3, :2]) ** 2.0).sum()
+            + ((flat[:2, :3] @ x) ** 2.0).sum())
+
+
+def _conv_twice(x):
+    """One conv applied twice, so its weight and input gradients
+    accumulate, on a (1, 1, n, d) image — the single-image kernel that
+    keeps the eager GEMM view — and on a (b, 1, n, d) batch."""
+    conv = Conv2d(1, 2, kernel_size=3, rng=np.random.default_rng(0))
+    image = x.reshape((-1, 1) + x.shape[-2:])
+    return (conv(image) * conv(image)).sum()
+
+
+def _gate_chains_shared_conv(x):
+    """Two RegionSA gate chains (conv -> pool -> softmax -> ⊙) over one
+    conv and one image, each conv output also summed directly: the conv
+    weight, the image and each pool input all accumulate gradients —
+    through the single-image colsT conv kernel and the fused gate
+    backward at (n, d), the batched conv at (b, n, d)."""
+    conv = Conv2d(1, 2, kernel_size=3, rng=np.random.default_rng(0))
+    pool = AvgPool2d(kernel_size=3)
+    image = x.reshape((-1, 1) + x.shape[-2:])
+    loss = None
+    for _ in range(2):
+        feat = conv(image)
+        corr = pool(feat)
+        term = (corr * F.softmax(corr, axis=-1)).sum() + feat.sum()
+        loss = term if loss is None else loss + term
+    return loss
+
+
 COMPILED_CASES = {
     "mlp_chain": lambda x: (MLP(4, 5, hidden_features=6,
                                 rng=np.random.default_rng(0))(x) ** 2.0).sum(),
@@ -223,6 +267,10 @@ COMPILED_CASES = {
     "activations": lambda x: (x.tanh() + x.sigmoid() + x.relu()
                               + x.leaky_relu(0.2) + F.gelu(x)).sum(),
     "normalize": lambda x: (F.l1_normalize(x) * F.l2_normalize(x)).sum(),
+    "matmul_shared_rhs": _matmul_shared_rhs,
+    "matmul_batched_fallback": _matmul_batched_fallback,
+    "conv_twice": _conv_twice,
+    "gate_chains_shared_conv": _gate_chains_shared_conv,
 }
 
 

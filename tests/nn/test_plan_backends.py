@@ -32,7 +32,6 @@ from repro.nn import Adam, CompiledStep, SGD, Tensor, clip_grad_norm
 from repro.nn.compile import (
     RECORD_STATS,
     resolve_backend,
-    resolve_lowering,
     resolve_workers,
 )
 from repro.nn.optim import Optimizer
@@ -185,8 +184,6 @@ class TestThreadedBackend:
         assert resolve_workers(2) == 2
         with pytest.raises(ValueError, match="unknown plan backend"):
             resolve_backend("fibers")
-        with pytest.raises(ValueError, match="unknown plan lowering"):
-            resolve_lowering("v3")
 
     def test_threaded_training_bitwise(self, city, tiny_config, monkeypatch):
         # Toy shapes partition only with the size floor lowered; the
@@ -231,22 +228,6 @@ class TestThreadedBackend:
         assert serial.keys() == threaded.keys()
         for key in serial:
             assert (serial[key] == threaded[key]).all()
-
-    def test_both_lowerings_threaded_bitwise(self, city, tiny_config,
-                                             monkeypatch):
-        # The v1 kernels must partition (or serialize) just as exactly:
-        # flattened-GEMM splits are v2-only, elementwise splits are not.
-        monkeypatch.setattr(compile_mod, "_PARTITION_MIN_ELEMENTS", 64)
-        for lowering in ("v1", "v2"):
-            model_s, views_s = _build_model(city, tiny_config)
-            step_s = CompiledStep(lambda: model_s.loss(views_s),
-                                  lowering=lowering)
-            model_t, views_t = _build_model(city, tiny_config)
-            step_t = CompiledStep(lambda: model_t.loss(views_t),
-                                  lowering=lowering, backend="threaded",
-                                  num_workers=4)
-            for _ in range(3):
-                assert step_t.run() == step_s.run()
 
 
 class TestThreadedNycShards:

@@ -129,14 +129,13 @@ class TestServiceScheduling:
         assert response.padded
         # 5 real regions in a (1, 16) padded batch.
         assert response.padding_waste == pytest.approx(1 - 5 / 16)
-        # Parity against the direct (shim) path on the same model and
-        # padded layout.
-        from repro.core import batched_embed, make_batch
+        # Parity against the direct eager batch path on the same model
+        # and padded layout.
+        from repro.core import make_batch
         batch = make_batch([views], n_max=service.n_max,
                            view_dims=service.view_dims)
-        direct = batched_embed(batch, model=service.model)
-        assert np.abs(response.embeddings
-                      - direct.embeddings[0]).max() <= 1e-8
+        direct = service.embed_batch(batch, compiled=False)
+        assert np.abs(response.embeddings - direct[0]).max() <= 1e-8
 
     def test_dtype_mixed_queue_never_co_batched(self, service):
         views = make_views(8, seed=4)

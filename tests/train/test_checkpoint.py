@@ -171,6 +171,15 @@ class TestCheckpointStore:
         assert not newest.exists()
         assert newest.with_name(newest.name + ".corrupt").exists()
 
+    def test_load_latest_removes_orphaned_temp_files(self, tmp_path):
+        """A kill between fsync and rename strands a temp file that
+        retention never sees; the resume entry removes it."""
+        CheckpointStore(tmp_path, keep=3).save(2, self._payload(2))
+        (tmp_path / "ckpt-00000004.ckpt.tmp4242").write_bytes(b"torn")
+        loaded = CheckpointStore(tmp_path, keep=3).load_latest()
+        assert loaded["epoch"] == 2
+        assert list(tmp_path.glob("*.tmp*")) == []
+
     def test_empty_store_loads_nothing(self, tmp_path):
         assert CheckpointStore(tmp_path / "nowhere").load_latest() is None
 
